@@ -151,14 +151,21 @@ impl Json {
     /// number becomes [`Json::F64`], so values produced by
     /// [`Json`]'s `Display` round-trip exactly.
     ///
+    /// Parsing is linear in the input length, and arrays and objects
+    /// may nest at most [`MAX_JSON_DEPTH`] levels deep, so a hostile
+    /// wire line can neither stall a caller nor overflow its stack.
+    ///
     /// # Errors
     ///
     /// Returns a [`JsonParseError`] with the byte offset of the first
-    /// malformed construct.
+    /// malformed construct, or of the first container nested deeper
+    /// than [`MAX_JSON_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
         let mut p = JsonParser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -221,6 +228,11 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every record
+/// this workspace writes nests fewer than 8 levels; the cap bounds the
+/// parser's recursion, and so its stack use, on untrusted input.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Error from [`Json::parse`]: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -243,8 +255,11 @@ impl fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -285,8 +300,19 @@ impl<'a> JsonParser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.error("nesting deeper than MAX_JSON_DEPTH"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
@@ -396,12 +422,18 @@ impl<'a> JsonParser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.error("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so they never fall
+                    // inside a multi-byte UTF-8 scalar and the slice ends on
+                    // a char boundary.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -616,9 +648,10 @@ impl TraceSink {
     /// Creates (truncating) a JSONL trace file, stamped with a
     /// leading `{"schema":N}` header line. Streaming sinks
     /// ([`TraceSink::in_memory`] and [`TraceSink::to_writer`]) stay
-    /// headerless: server-streamed traces are concatenated across
-    /// nodes, and a mid-stream header would break byte-identity of
-    /// merged streams.
+    /// headerless: sz-serve relays their records in `run` replies,
+    /// and wire clients read `run`/`summary` records until the first
+    /// line of any other type, which they take as the terminal reply,
+    /// so a header line would end the reply early.
     ///
     /// # Errors
     ///
@@ -834,9 +867,40 @@ mod tests {
             "\"unterminated",
             "1 2",
             "{\"a\":1,}",
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"\\x\"",
+            "\"\\uD800\"",
+            "\"\\uD800\\u0041\"",
+            "\"\\uDC00\"",
+            "\"\\u12\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_JSON_DEPTH);
+        // Mixed containers count alike, and a hostile depth is an
+        // error rather than a stack overflow.
+        let objects = format!("{}1{}", "{\"k\":[".repeat(40), "]}".repeat(40));
+        assert!(Json::parse(&objects).is_err());
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_and_recorded_lines_round_trip() {
+        let long: String = "é-ab😀".chars().cycle().take(512 << 10).collect();
+        let text = Json::from(long.as_str()).to_string();
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(long.as_str()));
+
+        // A run record as `sz-bench fig6_overhead` writes it.
+        let recorded = r#"{"type":"run","experiment":"fig6","benchmark":"mcf","variant":"linked-baseline","run":0,"engine":"linked","seconds":0.0000431434375,"counters":{"instructions":37257,"cycles":138059,"l1i_misses":7,"l1d_misses":289,"l2_misses":296,"l3_misses":296,"itlb_misses":1,"dtlb_misses":7,"branches":3341,"branch_mispredicts":118},"periods":[{"index":0,"start_cycles":0,"end_cycles":138059,"counters":{"instructions":37257,"cycles":138059,"l1i_misses":7,"l1d_misses":289,"l2_misses":296,"l3_misses":296,"itlb_misses":1,"dtlb_misses":7,"branches":3341,"branch_mispredicts":118}}]}"#;
+        assert_eq!(Json::parse(recorded).unwrap().to_string(), recorded);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   shutdown completes without waiting on silent clients.
 //!
 //! Replies that cannot be produced synchronously (a `run` with
-//! `wait: true` that queued a job, or a request forwarded to a
-//! federation peer) return [`LineOutcome::Pending`]; the connection
+//! `wait: true` that queued a job) return [`LineOutcome::Pending`];
+//! the connection
 //! defers any further input lines until the owner pushes the reply
 //! through [`Completions::send`], preserving the one-reply-per-line
 //! ordering of the old thread-per-connection front end.
@@ -129,8 +129,8 @@ pub enum LineOutcome {
 }
 
 /// The server-side brain the loop calls into. Implementations must be
-/// cheap and non-blocking: anything slow belongs on a worker or
-/// courier thread, completing via [`Completions`].
+/// cheap and non-blocking: anything slow belongs on a worker
+/// thread, completing via [`Completions`].
 pub trait ConnHandler: Send + Sync {
     /// Handles one complete input line (without its trailing newline).
     fn on_line(&self, token: ConnToken, line: &str) -> LineOutcome;

@@ -17,8 +17,8 @@
 //!
 //! The cache-hit run is primed once before the waves begin, so the
 //! steady state exercises the front end and the cache path — not the
-//! simulator. This is deliberately a front-end scalability gate: tens
-//! of thousands of mostly-idle connections, bounded tail latency.
+//! simulator. This is deliberately a front-end gate: many concurrent
+//! connections, bounded tail latency.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

@@ -16,9 +16,6 @@
 //! finishes. An event-loop thread therefore never blocks on a job —
 //! it only parses, submits, and moves on to the next ready socket.
 //!
-//! With a [`FederationConfig`] naming peers, the same front end also
-//! serves the `coordinator` / `node` roles (see [`crate::federation`]).
-//!
 //! [`event_loop`]: crate::event_loop
 
 use std::collections::HashMap;
@@ -32,7 +29,6 @@ use sz_sentinel::{Sentinel, SentinelConfig};
 
 use crate::event_loop::{Completions, ConnHandler, ConnToken, EventLoops, LineOutcome, NetStats};
 use crate::exec::JobOutput;
-use crate::federation::{shard_result_from_output, Federation, FederationConfig, Routed};
 use crate::proto::{Request, RunRequest, DEFAULT_ADDR};
 use crate::scheduler::{JobState, Scheduler, SchedulerConfig, SubmitOutcome};
 
@@ -40,7 +36,7 @@ use crate::scheduler::{JobState, Scheduler, SchedulerConfig, SubmitOutcome};
 /// degrades it to an `accepted` line (the job keeps running; the
 /// client can poll). Generous on purpose: per-job deadlines
 /// (`deadline_ms`) are the intended bound.
-pub(crate) const WAIT_CAP: Duration = Duration::from_secs(600);
+const WAIT_CAP: Duration = Duration::from_secs(600);
 
 /// Server sizing and bind address.
 #[derive(Debug, Clone)]
@@ -51,9 +47,16 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Event-loop threads multiplexing the connections.
     pub loops: usize,
-    /// Federation role and peer list.
+    /// Ignored; see [`FederationConfig`].
     pub federation: FederationConfig,
 }
+
+/// An empty stand-in for the removed multi-process federation
+/// settings. It and [`ServerConfig::federation`] exist only so the
+/// benchmark harness, which still names them, keeps compiling; the
+/// next change to the benchmark should stop naming them and drop both.
+#[derive(Debug, Clone, Default)]
+pub struct FederationConfig;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -61,7 +64,7 @@ impl Default for ServerConfig {
             addr: DEFAULT_ADDR.to_string(),
             scheduler: SchedulerConfig::default(),
             loops: 2,
-            federation: FederationConfig::default(),
+            federation: FederationConfig,
         }
     }
 }
@@ -91,7 +94,6 @@ impl Server {
             scheduler: Arc::clone(&scheduler),
             completions: loops.completions(),
             net: loops.net_stats(),
-            federation: Federation::new(&config.federation),
             waits: Mutex::new(HashMap::new()),
             watch: Mutex::new(WatchState {
                 sentinel: Sentinel::new(SentinelConfig::default()),
@@ -156,20 +158,17 @@ struct Waiter {
     token: ConnToken,
     experiment: &'static str,
     wants_trace: bool,
-    /// Reply with a `shard_result` line instead of a `result` line.
-    shard: bool,
     /// When to degrade to an `accepted` line ([`WAIT_CAP`]).
     deadline: Instant,
 }
 
 /// The per-request brain the event loops call into. Never blocks:
-/// long work lives on scheduler workers or federation couriers, and
-/// replies come back through [`Completions`].
+/// long work lives on scheduler workers, and replies come back
+/// through [`Completions`].
 struct ServeHandler {
     scheduler: Arc<Scheduler>,
     completions: Completions,
     net: Arc<NetStats>,
-    federation: Federation,
     waits: Mutex<HashMap<u64, Waiter>>,
     watch: Mutex<WatchState>,
     stop: Arc<AtomicBool>,
@@ -188,27 +187,13 @@ struct WatchState {
 
 impl ServeHandler {
     fn respond_run(&self, token: ConnToken, spec: RunRequest) -> LineOutcome {
-        match self
-            .federation
-            .route_run(&spec, &self.scheduler, &self.completions, token)
-        {
-            Routed::Reply(bytes) => return LineOutcome::Reply(bytes),
-            Routed::Pending => return LineOutcome::Pending,
-            Routed::Local => {}
-        }
-
-        let shard = spec.shard.is_some();
-        // Shard replies embed their trace chunks in the shard_result
-        // line; streaming records as well would duplicate them.
-        let wants_trace = spec.trace && !shard;
+        let wants_trace = spec.trace;
         let wait = spec.wait;
         let experiment = spec.experiment.name();
         match self.scheduler.submit(spec) {
-            SubmitOutcome::Cached(output) => LineOutcome::Reply(if shard {
-                render_shard_reply(&output, true)
-            } else {
-                render_output(experiment, &output, true, None, wants_trace)
-            }),
+            SubmitOutcome::Cached(output) => {
+                LineOutcome::Reply(render_output(experiment, &output, true, None, wants_trace))
+            }
             SubmitOutcome::Rejected { retry_after_ms } => {
                 LineOutcome::Reply(render_rejected(retry_after_ms))
             }
@@ -222,7 +207,6 @@ impl ServeHandler {
                         token,
                         experiment,
                         wants_trace,
-                        shard,
                         deadline: Instant::now() + WAIT_CAP,
                     },
                 );
@@ -258,19 +242,13 @@ impl ServeHandler {
             }
         };
         let bytes = match state {
-            JobState::Done(output) => {
-                if waiter.shard {
-                    render_shard_reply(&output, false)
-                } else {
-                    render_output(
-                        waiter.experiment,
-                        &output,
-                        false,
-                        Some(id),
-                        waiter.wants_trace,
-                    )
-                }
-            }
+            JobState::Done(output) => render_output(
+                waiter.experiment,
+                &output,
+                false,
+                Some(id),
+                waiter.wants_trace,
+            ),
             JobState::Failed(err) => render_error(Some(id), &err.reason()),
             _ => unreachable!("settled above"),
         };
@@ -350,7 +328,6 @@ impl ServeHandler {
         ] {
             fields.push((name.to_string(), counter.load(Ordering::Relaxed).into()));
         }
-        fields.push(("federation".to_string(), self.federation.stats_json()));
         render_line(&Json::Obj(fields))
     }
 }
@@ -431,25 +408,25 @@ impl ConnHandler for ServeHandler {
     }
 }
 
-pub(crate) fn render_line(value: &Json) -> Vec<u8> {
+fn render_line(value: &Json) -> Vec<u8> {
     format!("{value}\n").into_bytes()
 }
 
-pub(crate) fn render_accepted(id: u64) -> Vec<u8> {
+fn render_accepted(id: u64) -> Vec<u8> {
     render_line(&Json::obj([
         ("type", "accepted".into()),
         ("job", id.into()),
     ]))
 }
 
-pub(crate) fn render_rejected(retry_after_ms: u64) -> Vec<u8> {
+fn render_rejected(retry_after_ms: u64) -> Vec<u8> {
     render_line(&Json::obj([
         ("type", "rejected".into()),
         ("retry_after_ms", retry_after_ms.into()),
     ]))
 }
 
-pub(crate) fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
+fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
     let mut fields = vec![("type".to_string(), Json::from("error"))];
     if let Some(id) = job {
         fields.push(("job".to_string(), id.into()));
@@ -461,7 +438,7 @@ pub(crate) fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
 /// The bytes of a completed `run` reply: optional trace records (the
 /// captured JSONL is relayed byte-for-byte, so cached and fresh
 /// responses are identical) followed by the terminal `result` line.
-pub(crate) fn render_output(
+fn render_output(
     experiment: &str,
     output: &JobOutput,
     cached: bool,
@@ -487,34 +464,6 @@ pub(crate) fn render_output(
     bytes
 }
 
-/// The bytes of a `run_shard` reply: one `shard_result` line.
-pub(crate) fn render_shard_reply(output: &JobOutput, cached: bool) -> Vec<u8> {
-    match shard_result_from_output(output, cached) {
-        Ok(shard) => render_line(&shard.to_json()),
-        Err(message) => render_error(None, &message),
-    }
-}
-
-/// Executes a `run` to completion on the calling thread — the
-/// federation couriers' local-fallback path, where blocking is fine.
-pub(crate) fn run_blocking(spec: &RunRequest, scheduler: &Arc<Scheduler>) -> Vec<u8> {
-    let wants_trace = spec.trace;
-    let experiment = spec.experiment.name();
-    match scheduler.submit(spec.clone()) {
-        SubmitOutcome::Cached(output) => {
-            render_output(experiment, &output, true, None, wants_trace)
-        }
-        SubmitOutcome::Rejected { retry_after_ms } => render_rejected(retry_after_ms),
-        SubmitOutcome::Accepted(id) => match scheduler.wait(id, WAIT_CAP) {
-            Some(JobState::Done(output)) => {
-                render_output(experiment, &output, false, Some(id), wants_trace)
-            }
-            Some(JobState::Failed(err)) => render_error(Some(id), &err.reason()),
-            _ => render_accepted(id),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,7 +480,7 @@ mod tests {
                 cache_budget: 4 << 20,
             },
             loops: 2,
-            federation: FederationConfig::default(),
+            federation: FederationConfig,
         })
         .expect("bind ephemeral");
         let addr = server.local_addr().expect("local addr");
@@ -564,7 +513,6 @@ mod tests {
                         | "cancelled"
                         | "stats"
                         | "shutdown"
-                        | "shard_result"
                 );
                 responses.push(value);
                 if terminal {
@@ -606,8 +554,6 @@ mod tests {
         // Satellite: connection-error counters are first-class stats.
         assert_eq!(responses[0].get("conn_errors").unwrap().as_u64(), Some(0));
         assert_eq!(responses[0].get("write_errors").unwrap().as_u64(), Some(0));
-        let federation = responses[0].get("federation").expect("federation stats");
-        assert_eq!(federation.get("role").unwrap().as_str(), Some("single"));
         assert_eq!(responses[1].get("state").unwrap().as_str(), Some("unknown"));
         handle.join().expect("server exits cleanly");
     }
@@ -644,25 +590,6 @@ mod tests {
         assert_eq!(stats.get("watchers").unwrap().as_u64(), Some(1));
         assert!(stats.get("sentinel_runs").is_some());
         assert_eq!(stats.get("sentinel_alerts").unwrap().as_u64(), Some(0));
-        handle.join().expect("server exits cleanly");
-    }
-
-    #[test]
-    fn run_shard_replies_with_a_shard_result_line() {
-        let (addr, handle) = spawn_server();
-        let responses = roundtrip(
-            addr,
-            &[
-                r#"{"type":"run_shard","experiment":"evaluate","benchmarks":["gobmk"],"runs":4,"shard_start":1,"shard_count":2}"#
-                    .to_string(),
-                r#"{"type":"shutdown"}"#.to_string(),
-            ],
-        );
-        let shard = &responses[0];
-        assert_eq!(shard.get("type").unwrap().as_str(), Some("shard_result"));
-        assert_eq!(shard.get("shard_start").unwrap().as_u64(), Some(1));
-        assert_eq!(shard.get("shard_count").unwrap().as_u64(), Some(2));
-        assert_eq!(shard.get("before_bits").unwrap().as_arr().unwrap().len(), 2);
         handle.join().expect("server exits cleanly");
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests against a live `sz-serve` instance on an
 //! ephemeral port: cache-hit bit-identity, backpressure, cancellation,
-//! the adaptive-stopping golden run, and a 64-client burst.
+//! the adaptive-stopping golden run, a 64-client burst, and hostile
+//! request lines that must not stall or kill the event loop.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,7 +21,7 @@ fn start(workers: usize, queue_capacity: usize) -> (SocketAddr, std::thread::Joi
             cache_budget: 32 << 20,
         },
         loops: 2,
-        federation: FederationConfig::default(),
+        federation: FederationConfig,
     })
     .expect("bind ephemeral port");
     let addr = server.local_addr().expect("resolved addr");
@@ -362,5 +363,75 @@ fn stats_count_connection_errors() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    shutdown(addr, handle);
+}
+
+/// Regression: the request parser recursed once per nesting level and
+/// copied strings in time quadratic in their length, all on the
+/// event-loop thread. A deeply nested line overflowed that thread's
+/// stack and aborted the whole daemon; a string line near the 1 MiB
+/// line cap stalled the loop, and every connection on it, for about
+/// 20 s. With a single loop thread, either would block `stats` on a
+/// second connection.
+#[test]
+fn hostile_lines_neither_kill_nor_stall_a_single_event_loop() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        scheduler: SchedulerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            exec_threads: 1,
+            cache_budget: 4 << 20,
+        },
+        loops: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("resolved addr");
+    let handle = std::thread::spawn(move || server.serve().expect("serve"));
+
+    let hostile = TcpStream::connect(addr).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut replies = BufReader::new(hostile.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(&hostile);
+    writeln!(writer, "{}", "[".repeat(50_000)).expect("send nested line");
+    writer.flush().expect("flush");
+    let mut reply = String::new();
+    replies
+        .read_line(&mut reply)
+        .expect("nested line is answered");
+    let reply = Json::parse(&reply).expect("well-formed reply");
+    assert_eq!(reply.get("type").unwrap().as_str(), Some("error"));
+
+    // A JSON string line just under the 1 MiB line cap (newline
+    // included), sent without waiting for its reply. Whether the loop
+    // reaches it before or after the `stats` line below, both replies
+    // are due within the deadline only if parsing it cannot stall.
+    let started = std::time::Instant::now();
+    writeln!(writer, "\"{}\"", "x".repeat((1 << 20) - 64)).expect("send long line");
+    writer.flush().expect("flush");
+    let stats = terminal(&request(addr, r#"{"type":"stats"}"#));
+    assert_eq!(stats.get("type").unwrap().as_str(), Some("stats"));
+    let mut reply = String::new();
+    replies
+        .read_line(&mut reply)
+        .expect("long line is answered");
+    let reply = Json::parse(&reply).expect("well-formed reply");
+    assert_eq!(reply.get("type").unwrap().as_str(), Some("error"));
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the long line held the event loop for {:?}",
+        started.elapsed()
+    );
+
+    let run = terminal(&request(
+        addr,
+        r#"{"type":"run","experiment":"selftest-sleep","sleep_ms":1}"#,
+    ));
+    assert_eq!(run.get("type").unwrap().as_str(), Some("result"));
+    drop(writer);
+    drop(hostile);
     shutdown(addr, handle);
 }

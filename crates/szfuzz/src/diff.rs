@@ -99,7 +99,7 @@ pub enum DivergenceKind {
     /// Re-running the program at a reduced instruction budget made the
     /// interpreters disagree — on the error, or on the counter state
     /// an engine observed before the cut. This exercises exactly the
-    /// fuel-fallback seams of the batched span executor.
+    /// span-granular fuel check of the span executor.
     FuelSeam,
 }
 
@@ -407,9 +407,11 @@ impl LayoutEngine for CounterSpy {
 /// A budget strictly below the clean-run retirement count is
 /// *guaranteed* to cut the run short, and where it lands is
 /// arbitrary relative to span boundaries — so the sweep drives the
-/// span executor's fuel-fallback seams (span-straddling budgets, the
-/// per-op tail after a mid-span cut) that a full-budget differential
-/// run never touches.
+/// span executor's span-granular fuel check (budgets landing before,
+/// inside, or on the terminal of a span) that a full-budget
+/// differential run never touches. The last cut, one instruction
+/// short, lands on the program's final `Ret`: the one terminal whose
+/// execution a span-granular and a per-op meter could disagree on.
 pub fn fuel_sweep_check(
     program: &Program,
     seed: u64,
@@ -420,6 +422,7 @@ pub fn fuel_sweep_check(
         (baseline_instructions / 4).max(1),
         (baseline_instructions / 2).max(1),
         (baseline_instructions * 3 / 4).max(1),
+        baseline_instructions.saturating_sub(1),
     ];
     let mut prev = 0;
     for budget in budgets {

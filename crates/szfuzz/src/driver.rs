@@ -77,7 +77,7 @@ pub struct FuzzConfig {
     pub batch: usize,
     /// Arm the deliberately broken engine (negative control).
     pub inject_global_alias: bool,
-    /// Re-run each cleanly terminating program at 2–3 reduced fuel
+    /// Re-run each cleanly terminating program at up to four reduced fuel
     /// budgets and require both interpreters to cut identically
     /// ([`crate::diff::fuel_sweep_check`]).
     pub fuel_sweep: bool,

@@ -54,6 +54,15 @@ pub enum IrError {
         /// Arguments the call passes.
         got: usize,
     },
+    /// A function's registers plus distinct immediate values exceed
+    /// [`crate::MAX_WINDOW`], so its operands cannot all be addressed
+    /// by 16-bit indices.
+    WindowTooWide {
+        /// The offending function.
+        func: FuncId,
+        /// Registers plus distinct immediate values.
+        window: usize,
+    },
 }
 
 impl std::fmt::Display for IrError {
@@ -81,6 +90,11 @@ impl std::fmt::Display for IrError {
             } => write!(
                 f,
                 "call from {caller} to {callee} passes {got} arguments, expected {expected}"
+            ),
+            IrError::WindowTooWide { func, window } => write!(
+                f,
+                "{func} needs {window} registers plus distinct immediates, more than {}",
+                crate::MAX_WINDOW
             ),
         }
     }

@@ -39,7 +39,7 @@ pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use error::IrError;
 pub use func::{Block, CodeElem, CodeLayout, Function};
 pub use instr::{AluOp, Instr, Operand, Terminator};
-pub use program::{Global, GlobalInit, Program};
+pub use program::{Global, GlobalInit, Program, MAX_WINDOW};
 
 /// Index of a function within its [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

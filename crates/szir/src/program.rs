@@ -2,6 +2,12 @@
 
 use crate::{FuncId, Function, Instr, IrError, Operand, Terminator};
 
+/// The most registers plus distinct immediate values one function may
+/// use. Every operand then has a 16-bit index into a window of the
+/// function's registers followed by its constants, which is how the
+/// interpreter addresses both uniformly.
+pub const MAX_WINDOW: usize = 1 << 16;
+
 /// Initial contents of a global.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GlobalInit {
@@ -57,7 +63,8 @@ impl Program {
     /// Checks structural invariants: every block, register, slot,
     /// global, and function reference is in range; entry exists; call
     /// arity matches callee parameter counts; parameters fit in the
-    /// register frame.
+    /// register frame; registers plus distinct immediate values fit
+    /// [`MAX_WINDOW`].
     ///
     /// # Errors
     ///
@@ -91,6 +98,21 @@ impl Program {
                 }
                 if let Terminator::Ret { value: Some(v) } = &block.term {
                     self.validate_operand(func, f, v)?;
+                }
+            }
+            // Counting with repeats bounds the distinct count from
+            // above, so the set is only built for functions near the
+            // cap.
+            let mut total = usize::from(f.num_regs);
+            for_each_immediate(f, |_| total += 1);
+            if total > MAX_WINDOW {
+                let mut distinct = std::collections::HashSet::new();
+                for_each_immediate(f, |v| {
+                    distinct.insert(v);
+                });
+                let window = usize::from(f.num_regs) + distinct.len();
+                if window > MAX_WINDOW {
+                    return Err(IrError::WindowTooWide { func, window });
                 }
             }
         }
@@ -152,6 +174,47 @@ impl Program {
             _ => {}
         }
         Ok(())
+    }
+}
+
+/// Calls `each` with the 64-bit pattern of every immediate `f` uses:
+/// each `Operand::Imm` and each `fp_const` bit pattern.
+fn for_each_immediate(f: &Function, mut each: impl FnMut(u64)) {
+    let mut operand = |op: &Operand| {
+        if let Operand::Imm(v) = op {
+            each(*v as u64);
+        }
+    };
+    for block in &f.blocks {
+        for instr in &block.instrs {
+            match instr {
+                Instr::Alu { a, b, .. } => {
+                    operand(a);
+                    operand(b);
+                }
+                Instr::FpConst { bits, .. } => operand(&Operand::Imm(*bits as i64)),
+                Instr::IntToFp { src, .. }
+                | Instr::FpToInt { src, .. }
+                | Instr::StoreSlot { src, .. }
+                | Instr::StorePtr { src, .. } => operand(src),
+                Instr::LoadGlobal { offset, .. } => operand(offset),
+                Instr::StoreGlobal { src, offset, .. } => {
+                    operand(src);
+                    operand(offset);
+                }
+                Instr::Malloc { size, .. } => operand(size),
+                Instr::Call { args, .. } => args.iter().for_each(&mut operand),
+                Instr::LoadSlot { .. }
+                | Instr::LoadPtr { .. }
+                | Instr::Free { .. }
+                | Instr::Nop { .. } => {}
+            }
+        }
+        match &block.term {
+            Terminator::Branch { cond, .. } => operand(cond),
+            Terminator::Ret { value: Some(v) } => operand(v),
+            Terminator::Ret { value: None } | Terminator::Jump(_) => {}
+        }
     }
 }
 
@@ -250,6 +313,54 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A function of one register and `imms` distinct immediates.
+    fn wide(imms: i64) -> Program {
+        let mut p = minimal();
+        p.functions[0].blocks[0].instrs = (0..imms)
+            .map(|k| Instr::Alu {
+                dst: Reg(0),
+                op: AluOp::Add,
+                a: Operand::Reg(Reg(0)),
+                b: Operand::Imm(k),
+            })
+            .collect();
+        p
+    }
+
+    #[test]
+    fn caps_registers_plus_distinct_immediates() {
+        let cap = MAX_WINDOW as i64;
+        assert_eq!(wide(cap - 1).validate(), Ok(()), "exactly at the cap");
+        assert_eq!(
+            wide(cap).validate(),
+            Err(IrError::WindowTooWide {
+                func: FuncId(0),
+                window: MAX_WINDOW + 1,
+            })
+        );
+        // Repeats count once: many uses of one value stay far below.
+        let mut p = wide(cap);
+        for instr in &mut p.functions[0].blocks[0].instrs {
+            if let Instr::Alu { b, .. } = instr {
+                *b = Operand::Imm(7);
+            }
+        }
+        assert_eq!(p.validate(), Ok(()));
+        // `fp_const` bits share the 64-bit pattern space with integer
+        // immediates.
+        let mut p = wide(cap - 1);
+        p.functions[0].blocks[0].instrs.push(Instr::FpConst {
+            dst: Reg(0),
+            bits: 5,
+        });
+        assert_eq!(p.validate(), Ok(()), "bits 5 == Imm(5)");
+        p.functions[0].blocks[0].instrs.push(Instr::FpConst {
+            dst: Reg(0),
+            bits: u64::MAX - 5,
+        });
+        assert!(matches!(p.validate(), Err(IrError::WindowTooWide { .. })));
     }
 
     #[test]

@@ -27,8 +27,11 @@
 //!    [`stabilizer::Config`] with the per-run seed zeroed — the real
 //!    seeds derive from `seed_base`, which is already in the key);
 //! 7. for `evaluate`: the before/after optimization levels and the
-//!    adaptive parameters (half-width bits, confidence bits, batch,
-//!    min/max runs) or `fixed`.
+//!    adaptive parameters (half-width bits, confidence bits, band
+//!    bits, batch, min/max runs) or `fixed`.
+//!
+//! Rules 5 and 6 describe constants, so that part of the string is
+//! formatted once per process and reused.
 //!
 //! Excluded on purpose: `threads` (results are thread-invariant),
 //! `trace` (tracing selects what is *streamed*, not what is
@@ -38,7 +41,7 @@
 //! wrong result.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sz_harness::Json;
 
@@ -75,11 +78,22 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     h
 }
 
+/// The machine and engine configuration part of every canonical
+/// string (rules 5 and 6), formatted on first use.
+fn config_part() -> &'static str {
+    static PART: OnceLock<String> = OnceLock::new();
+    PART.get_or_init(|| {
+        format!(
+            "machine={:?};engine={:?}",
+            sz_machine::MachineConfig::core_i3_550(),
+            stabilizer::Config::default().with_seed(0),
+        )
+    })
+}
+
 /// Builds the content-address of a run request (see the module docs
 /// for the canonicalization rules).
 pub fn cache_key(spec: &RunRequest) -> CacheKey {
-    let machine = sz_machine::MachineConfig::core_i3_550();
-    let engine = stabilizer::Config::default().with_seed(0);
     let interval_bits = sz_machine::SimTime::from_millis(spec.interval_ms)
         .as_nanos()
         .to_bits();
@@ -89,11 +103,12 @@ pub fn cache_key(spec: &RunRequest) -> CacheKey {
     };
     let mode = match (&spec.experiment, &spec.adaptive) {
         (Experiment::Evaluate, Some(a)) => format!(
-            "{}->{};adaptive{{hw={:016x},conf={:016x},batch={},min={},max={}}}",
+            "{}->{};adaptive{{hw={:016x},conf={:016x},band={:016x},batch={},min={},max={}}}",
             spec.before_opt,
             spec.after_opt,
             a.half_width.to_bits(),
             a.confidence.to_bits(),
+            a.band.to_bits(),
             a.batch,
             a.min_runs,
             a.max_runs,
@@ -104,15 +119,14 @@ pub fn cache_key(spec: &RunRequest) -> CacheKey {
         _ => "-".to_string(),
     };
     let canonical = format!(
-        "experiment={};benchmarks={};scale={};runs={};seed_base={:#018x};interval_ns_bits={:016x};machine={:?};engine={:?};mode={}",
+        "experiment={};benchmarks={};scale={};runs={};seed_base={:#018x};interval_ns_bits={:016x};{};mode={}",
         spec.experiment.name(),
         benchmarks,
         scale_name(spec.scale),
         spec.runs,
         spec.seed_base,
         interval_bits,
-        machine,
-        engine,
+        config_part(),
         mode,
     );
     CacheKey {
@@ -332,17 +346,41 @@ mod tests {
         tighter.adaptive.as_mut().unwrap().half_width = 0.01;
         let mut other_levels = fixed.clone();
         other_levels.after_opt = "O3".to_string();
+        // `band` decides when the adaptive loop stops, so it changes
+        // `samples_per_arm` and the verdict.
+        let mut wider_band = adaptive.clone();
+        wider_band.adaptive.as_mut().unwrap().band = 0.2;
         let keys = [
             cache_key(&fixed),
             cache_key(&adaptive),
             cache_key(&tighter),
             cache_key(&other_levels),
+            cache_key(&wider_band),
         ];
         for i in 0..keys.len() {
             for j in i + 1..keys.len() {
                 assert_ne!(keys[i], keys[j], "modes {i} and {j} collide");
             }
         }
+    }
+
+    /// Formatting the configuration once must not change a byte of
+    /// the canonical string: entries keyed before and after agree.
+    #[test]
+    fn non_adaptive_canonical_string_is_pinned() {
+        let key = cache_key(&RunRequest::quick(Experiment::Table1));
+        assert!(
+            key.canonical.starts_with(
+                "experiment=table1;benchmarks=all;scale=tiny;runs=6;\
+                 seed_base=0x000000005eed0000;interval_ns_bits=40b3880000000000;\
+                 machine=MachineConfig { l1i: CacheConfig { size_bytes: 32768, ways: 4, "
+            ),
+            "{}",
+            key.canonical
+        );
+        assert!(key.canonical.ends_with(";mode=-"), "{}", key.canonical);
+        assert_eq!(key.hex(), "9d8b18697f0e09f9c1f127743a688d1e");
+        assert_eq!(key, cache_key(&RunRequest::quick(Experiment::Table1)));
     }
 
     #[test]

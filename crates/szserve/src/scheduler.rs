@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use sz_harness::Json;
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::{cache_key, CacheKey, ResultCache};
 use crate::exec::{execute, ExecError, JobOutput};
 use crate::proto::RunRequest;
 
@@ -98,6 +98,9 @@ pub enum SubmitOutcome {
 
 struct JobRecord {
     spec: RunRequest,
+    /// The request's cache key (`None` when its experiment is not
+    /// cacheable), computed once at submit, outside the lock.
+    key: Option<CacheKey>,
     state: JobState,
     cancel: Arc<AtomicBool>,
 }
@@ -196,14 +199,12 @@ impl Scheduler {
 
     /// Submits a request: cache hit, queued job, or rejection.
     pub fn submit(&self, spec: RunRequest) -> SubmitOutcome {
+        let key = spec.experiment.cacheable().then(|| cache_key(&spec));
         let (lock, cvar) = &*self.shared;
         let mut inner = lock.lock().expect("scheduler lock");
         inner.submitted += 1;
-        if spec.experiment.cacheable() {
-            let key = cache_key(&spec);
-            if let Some(hit) = inner.cache.get(&key) {
-                return SubmitOutcome::Cached(hit);
-            }
+        if let Some(hit) = key.as_ref().and_then(|k| inner.cache.get(k)) {
+            return SubmitOutcome::Cached(hit);
         }
         if inner.queue.len() >= self.config.queue_capacity || inner.shutdown {
             inner.rejected += 1;
@@ -218,6 +219,7 @@ impl Scheduler {
             id,
             JobRecord {
                 spec,
+                key,
                 state: JobState::Queued,
                 cancel: Arc::new(AtomicBool::new(false)),
             },
@@ -349,18 +351,20 @@ impl Scheduler {
 fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
     let (lock, cvar) = &**shared;
     loop {
-        let (id, spec, cancel) = {
+        let (id, spec, key, cancel) = {
             let mut inner = lock.lock().expect("scheduler lock");
             loop {
                 if let Some(id) = inner.queue.pop_front() {
                     let job = inner.jobs.get_mut(&id).expect("queued job exists");
                     job.state = JobState::Running;
-                    inner.running += 1;
-                    break (
+                    let picked = (
                         id,
-                        inner.jobs[&id].spec.clone(),
-                        Arc::clone(&inner.jobs[&id].cancel),
+                        job.spec.clone(),
+                        job.key.take(),
+                        Arc::clone(&job.cancel),
                     );
+                    inner.running += 1;
+                    break picked;
                 }
                 if inner.shutdown {
                     return;
@@ -401,8 +405,8 @@ fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
             match result {
                 Ok(output) => {
                     let output = Arc::new(output);
-                    if spec.experiment.cacheable() {
-                        inner.cache.insert(&cache_key(&spec), Arc::clone(&output));
+                    if let Some(key) = &key {
+                        inner.cache.insert(key, Arc::clone(&output));
                     }
                     inner.completed += 1;
                     inner.settle(id, JobState::Done(output));

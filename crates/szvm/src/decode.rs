@@ -346,10 +346,12 @@ pub struct Effect {
     pub b: u16,
 }
 
-/// How a batched span executes its terminal op.
+/// How a span executes its terminal op.
 #[derive(Debug, Clone, Copy)]
 pub enum SpanTerm {
-    /// Run the terminal through the general per-op handler.
+    /// A call, return, malloc or free: the interpreter runs the
+    /// terminal op itself (these reach the layout engine or change
+    /// the frame stack, so they end the span's dispatch chain).
     Op,
     /// Fused compare+branch superinstruction: the span's final mid-op
     /// effect wrote exactly the branch condition register, so one
@@ -373,14 +375,14 @@ pub enum SpanTerm {
         not_taken: u32,
     },
     /// Unconditional jump terminal: just a span hop, no operand
-    /// read and no predictor probe, so the general handler is skipped.
+    /// read and no predictor probe.
     Jump {
         /// Target span index.
         target: u32,
     },
     /// Unfused conditional branch terminal: one window read (register
     /// or interned immediate), the predictor probe, and the span hop
-    /// — the same observable sequence as the general handler.
+    /// — the same observable sequence as the reference's branch.
     Branch {
         /// Condition window index.
         cond: u16,
@@ -394,17 +396,14 @@ pub enum SpanTerm {
     },
 }
 
-/// One step of a batched *impure* span body: pure runs compile to
+/// One step of an *impure* span body: pure ops compile to
 /// [`Effect`]s, the hottest memory-crossing pairs fuse into
-/// superinstructions, and everything else routes through the general
-/// per-op handler by flat index.
+/// superinstructions, and every other mid-span op kind (the loads and
+/// stores) has its own step. Every step is infallible.
 #[derive(Debug, Clone, Copy)]
 pub enum Step {
     /// A pure register effect.
     Effect(Effect),
-    /// The general handler for the op at this flat stream index
-    /// (loads, stores, and anything else without a dedicated step).
-    Op(u32),
     /// Fused `load_slot` + ALU: load the slot into `dst`, then run
     /// the effect (which may read `dst`).
     LoadSlotAlu {
@@ -499,7 +498,7 @@ pub enum Step {
 }
 
 /// The compiled execution body of one span, selected at decode time
-/// so the batched executor never re-inspects [`OpKind`]s.
+/// so the executor never re-inspects a mid-span [`OpKind`].
 #[derive(Debug, Clone, Copy)]
 pub enum SpanBody {
     /// A pure span: mid ops are `effects[first..first + count]`, run
@@ -514,8 +513,7 @@ pub enum SpanBody {
         term: SpanTerm,
     },
     /// An impure span: mid ops are `steps[first..first + count]`,
-    /// then `term`. Only used when the span batches (single-line
-    /// footprint); a straddling impure span stays per-op.
+    /// then `term`.
     Steps {
         /// First index into [`DecodedFunc::steps`].
         first: u32,
@@ -524,11 +522,6 @@ pub enum SpanBody {
         /// Terminal handling.
         term: SpanTerm,
     },
-    /// Uncompiled fallback: the batched executor walks `ops`
-    /// directly. Used for every span of a function whose execution
-    /// window (`num_regs + consts`) would overflow the `u16` operand
-    /// index space — correctness never depends on a body compiling.
-    Ops,
 }
 
 /// A function lowered to a flat decoded stream plus the frame metadata
@@ -546,8 +539,8 @@ pub struct DecodedFunc {
     /// The straight-line fetch spans partitioning `ops`, in stream
     /// order.
     pub spans: Vec<FetchSpan>,
-    /// Span index owning each op (`span_of[i]` indexes `spans`), so
-    /// dispatch maps an `ip` to its span in one load.
+    /// Span index owning each op (`span_of[i]` indexes `spans`);
+    /// decode maps control-flow targets to span indices through it.
     pub span_of: Vec<u32>,
     /// Compiled execution body of each span (parallel to `spans`).
     pub bodies: Vec<SpanBody>,
@@ -605,14 +598,7 @@ fn build_spans(ops: &[DecodedOp]) -> (Vec<FetchSpan>, Vec<u32>) {
             start = i + 1;
             cycles = 0;
             pure = true;
-        } else if !matches!(
-            op.kind,
-            OpKind::Alu { .. }
-                | OpKind::FpConst { .. }
-                | OpKind::IntToFp { .. }
-                | OpKind::FpToInt { .. }
-                | OpKind::Nop
-        ) {
+        } else if !is_pure_kind(&op.kind) {
             // A mid-span load/store interleaves D-side traffic with the
             // span's remaining I-side misses.
             pure = false;
@@ -623,9 +609,10 @@ fn build_spans(ops: &[DecodedOp]) -> (Vec<FetchSpan>, Vec<u32>) {
 }
 
 /// Builds a function's interned-constant pool while resolving operand
-/// window indices. Interning fails (returns `None`) only when the
-/// window `num_regs + consts` would outgrow the `u16` index space; the
-/// caller then abandons body compilation for the whole function.
+/// window indices. The window `num_regs + consts` always fits the
+/// `u16` index space: [`Program::validate`] rejects any function whose
+/// registers plus distinct immediates exceed [`sz_ir::MAX_WINDOW`],
+/// and the pool interns a subset of those immediates.
 struct ConstPool {
     num_regs: u16,
     values: Vec<u64>,
@@ -641,62 +628,54 @@ impl ConstPool {
         }
     }
 
-    fn operand(&mut self, op: Operand) -> Option<u16> {
+    fn operand(&mut self, op: Operand) -> u16 {
         match op {
-            Operand::Reg(r) => Some(r.0),
+            Operand::Reg(r) => r.0,
             Operand::Imm(v) => self.intern(v as u64),
         }
     }
 
-    fn intern(&mut self, v: u64) -> Option<u16> {
+    fn intern(&mut self, v: u64) -> u16 {
         if let Some(&i) = self.index.get(&v) {
-            return Some(i);
+            return i;
         }
-        let idx = u16::try_from(usize::from(self.num_regs) + self.values.len()).ok()?;
+        let idx = u16::try_from(usize::from(self.num_regs) + self.values.len())
+            .expect("Program::validate bounds the register-plus-constant window");
         self.values.push(v);
         self.index.insert(v, idx);
-        Some(idx)
+        idx
     }
 }
 
-/// Compiles one *pure* op to its effect (`None` on pool overflow).
-/// Callers never pass Nops (they compile to nothing) or impure kinds.
-fn compile_effect(pool: &mut ConstPool, kind: &OpKind) -> Option<Effect> {
-    match kind {
-        OpKind::Alu { dst, op, a, b } => Some(Effect {
-            op: EffectOp::from_alu(*op),
-            dst: dst.0,
-            a: pool.operand(*a)?,
-            b: pool.operand(*b)?,
-        }),
+/// Compiles one *pure* op to its effect. Callers never pass Nops
+/// (they compile to nothing) or impure kinds.
+fn compile_effect(pool: &mut ConstPool, kind: &OpKind) -> Effect {
+    let (op, dst, a, b) = match kind {
+        OpKind::Alu { dst, op, a, b } => (
+            EffectOp::from_alu(*op),
+            dst,
+            pool.operand(*a),
+            pool.operand(*b),
+        ),
         OpKind::FpConst { dst, bits } => {
-            let a = pool.intern(*bits)?;
-            Some(Effect {
-                op: EffectOp::Move,
-                dst: dst.0,
-                a,
-                b: a,
-            })
+            let a = pool.intern(*bits);
+            (EffectOp::Move, dst, a, a)
         }
         OpKind::IntToFp { dst, src } => {
-            let a = pool.operand(*src)?;
-            Some(Effect {
-                op: EffectOp::IntToFp,
-                dst: dst.0,
-                a,
-                b: a,
-            })
+            let a = pool.operand(*src);
+            (EffectOp::IntToFp, dst, a, a)
         }
         OpKind::FpToInt { dst, src } => {
-            let a = pool.operand(*src)?;
-            Some(Effect {
-                op: EffectOp::FpToInt,
-                dst: dst.0,
-                a,
-                b: a,
-            })
+            let a = pool.operand(*src);
+            (EffectOp::FpToInt, dst, a, a)
         }
         _ => unreachable!("only pure non-Nop ops compile to effects"),
+    };
+    Effect {
+        op,
+        dst: dst.0,
+        a,
+        b,
     }
 }
 
@@ -728,12 +707,11 @@ fn fuse_cmp_branch(
     })
 }
 
-/// Compiles an unfused terminal to its specialized variant where one
-/// exists (`Jump`, plain `Branch`); control ops with deeper side
-/// effects (`Ret`, `Call`, `Malloc`, `Free`) stay on the general
-/// handler. `None` only on const-pool overflow.
-fn compile_term(pool: &mut ConstPool, term_op: &DecodedOp, span_of: &[u32]) -> Option<SpanTerm> {
-    Some(match term_op.kind {
+/// Compiles an unfused terminal: `Jump` and plain `Branch` become span
+/// hops; control ops with deeper side effects (`Ret`, `Call`,
+/// `Malloc`, `Free`) stay [`SpanTerm::Op`].
+fn compile_term(pool: &mut ConstPool, term_op: &DecodedOp, span_of: &[u32]) -> SpanTerm {
+    match term_op.kind {
         OpKind::Jump { target } => SpanTerm::Jump {
             target: span_of[target as usize],
         },
@@ -742,13 +720,13 @@ fn compile_term(pool: &mut ConstPool, term_op: &DecodedOp, span_of: &[u32]) -> O
             taken,
             not_taken,
         } => SpanTerm::Branch {
-            cond: pool.operand(cond)?,
+            cond: pool.operand(cond),
             pc_rel: term_op.pc,
             taken: span_of[taken as usize],
             not_taken: span_of[not_taken as usize],
         },
         _ => SpanTerm::Op,
-    })
+    }
 }
 
 fn is_pure_kind(kind: &OpKind) -> bool {
@@ -762,16 +740,15 @@ fn is_pure_kind(kind: &OpKind) -> bool {
     )
 }
 
-/// Compiles every span's execution body. Returns `None` if the
-/// function's window would overflow `u16` operand indices, in which
-/// case the caller falls back to [`SpanBody::Ops`] everywhere.
+/// Compiles every span's execution body, returning the bodies with
+/// the effect, step and constant pools they index.
 #[allow(clippy::type_complexity)]
 fn compile_bodies(
     ops: &[DecodedOp],
     spans: &[FetchSpan],
     span_of: &[u32],
     num_regs: u16,
-) -> Option<(Vec<SpanBody>, Vec<Effect>, Vec<Step>, Vec<u64>)> {
+) -> (Vec<SpanBody>, Vec<Effect>, Vec<Step>, Vec<u64>) {
     let mut pool = ConstPool::new(num_regs);
     let mut effects = Vec::new();
     let mut steps = Vec::new();
@@ -786,7 +763,7 @@ fn compile_bodies(
                 if matches!(op.kind, OpKind::Nop) {
                     continue;
                 }
-                effects.push(compile_effect(&mut pool, &op.kind)?);
+                effects.push(compile_effect(&mut pool, &op.kind));
             }
             // Only this span's own final effect may fold into the
             // terminal — `effects.last()` past `first` would belong
@@ -799,7 +776,7 @@ fn compile_bodies(
                     effects.pop();
                     t
                 }
-                None => compile_term(&mut pool, term_op, span_of)?,
+                None => compile_term(&mut pool, term_op, span_of),
             };
             bodies.push(SpanBody::Effects {
                 first,
@@ -818,7 +795,7 @@ fn compile_bodies(
                     // each fused handler matches the op order, so the
                     // data-traffic sequence is unchanged.
                     (OpKind::LoadSlot { dst, byte_off }, Some(n @ OpKind::Alu { .. })) => {
-                        let eff = compile_effect(&mut pool, n)?;
+                        let eff = compile_effect(&mut pool, n);
                         steps.push(Step::LoadSlotAlu {
                             idx: i as u32,
                             dst: dst.0,
@@ -828,8 +805,8 @@ fn compile_bodies(
                         i += 2;
                     }
                     (OpKind::Alu { .. }, Some(OpKind::StoreSlot { src, byte_off })) => {
-                        let eff = compile_effect(&mut pool, kind)?;
-                        let src = pool.operand(*src)?;
+                        let eff = compile_effect(&mut pool, kind);
+                        let src = pool.operand(*src);
                         steps.push(Step::AluStoreSlot {
                             idx: i as u32,
                             eff,
@@ -840,7 +817,7 @@ fn compile_bodies(
                     }
                     (OpKind::Nop, _) => i += 1,
                     (k, _) if is_pure_kind(k) => {
-                        steps.push(Step::Effect(compile_effect(&mut pool, k)?));
+                        steps.push(Step::Effect(compile_effect(&mut pool, k)));
                         i += 1;
                     }
                     (OpKind::LoadSlot { dst, byte_off }, _) => {
@@ -854,7 +831,7 @@ fn compile_bodies(
                     (OpKind::StoreSlot { src, byte_off }, _) => {
                         steps.push(Step::StoreSlot {
                             idx: i as u32,
-                            src: pool.operand(*src)?,
+                            src: pool.operand(*src),
                             byte_off: *byte_off,
                         });
                         i += 1;
@@ -870,7 +847,7 @@ fn compile_bodies(
                         steps.push(Step::LoadGlobal {
                             idx: i as u32,
                             dst: dst.0,
-                            offset: pool.operand(*offset)?,
+                            offset: pool.operand(*offset),
                             global: *global,
                         });
                         i += 1;
@@ -885,8 +862,8 @@ fn compile_bodies(
                     ) => {
                         steps.push(Step::StoreGlobal {
                             idx: i as u32,
-                            src: pool.operand(*src)?,
-                            offset: pool.operand(*offset)?,
+                            src: pool.operand(*src),
+                            offset: pool.operand(*offset),
                             global: *global,
                         });
                         i += 1;
@@ -903,16 +880,13 @@ fn compile_bodies(
                     (OpKind::StorePtr { src, base, offset }, _) => {
                         steps.push(Step::StorePtr {
                             idx: i as u32,
-                            src: pool.operand(*src)?,
+                            src: pool.operand(*src),
                             base: base.0,
                             offset: *offset,
                         });
                         i += 1;
                     }
-                    _ => {
-                        steps.push(Step::Op(i as u32));
-                        i += 1;
-                    }
+                    _ => unreachable!("span-terminal op kinds never sit mid-span"),
                 }
             }
             let term = match steps.last() {
@@ -926,7 +900,7 @@ fn compile_bodies(
                     steps.pop();
                     t
                 }
-                None => compile_term(&mut pool, term_op, span_of)?,
+                None => compile_term(&mut pool, term_op, span_of),
             };
             bodies.push(SpanBody::Steps {
                 first,
@@ -935,7 +909,7 @@ fn compile_bodies(
             });
         }
     }
-    Some((bodies, effects, steps, pool.values))
+    (bodies, effects, steps, pool.values)
 }
 
 /// Lowers one function. The program must already be validated —
@@ -964,8 +938,7 @@ pub fn decode_function(f: &Function) -> DecodedFunc {
         });
     }
     let (spans, span_of) = build_spans(&ops);
-    let (bodies, effects, steps, consts) = compile_bodies(&ops, &spans, &span_of, f.num_regs)
-        .unwrap_or_else(|| (vec![SpanBody::Ops; spans.len()], vec![], vec![], vec![]));
+    let (bodies, effects, steps, consts) = compile_bodies(&ops, &spans, &span_of, f.num_regs);
     let d = DecodedFunc {
         ops,
         block_starts,
@@ -984,8 +957,7 @@ pub fn decode_function(f: &Function) -> DecodedFunc {
 }
 
 impl DecodedFunc {
-    /// Checks every span-body invariant the batched executor relies
-    /// on. Panics on violation; `decode_function` runs this in debug
+    /// Checks every span-body invariant the executor relies on. Panics on violation; `decode_function` runs this in debug
     /// builds and the decode tests run it on every constructed
     /// function.
     pub fn validate_bodies(&self) {
@@ -1095,10 +1067,6 @@ impl DecodedFunc {
                                 check_effect(e);
                                 covered += 1;
                             }
-                            Step::Op(idx) => {
-                                assert!(mids.contains(idx), "Op step indexes a mid op of its span");
-                                covered += 1;
-                            }
                             Step::LoadSlot { idx, dst, .. } => {
                                 assert!(usize::from(*dst) < usize::from(self.num_regs));
                                 pinned(idx, |k| matches!(k, OpKind::LoadSlot { .. }));
@@ -1169,7 +1137,6 @@ impl DecodedFunc {
                     covered += matches!(term, SpanTerm::CmpBranch { .. }) as usize;
                     assert_eq!(covered, mid_ops(), "steps cover the mid ops");
                 }
-                SpanBody::Ops => {}
             }
         }
     }

@@ -7,11 +7,14 @@
 //! truth.
 
 use stabilizer::{prepare_program, Config, Stabilizer};
-use sz_ir::{AluOp, BlockId, Program, ProgramBuilder};
+use sz_ir::{
+    AluOp, Block, BlockId, FuncId, Function, Instr, IrError, Operand, Program, ProgramBuilder, Reg,
+    Terminator, MAX_WINDOW,
+};
 use sz_link::{LinkOrder, LinkedLayout};
 use sz_machine::{MachineConfig, SimTime};
 use sz_opt::{optimize, OptLevel};
-use sz_vm::{reference::run_reference, LayoutEngine, OpKind, RunLimits, Vm};
+use sz_vm::{reference::run_reference, LayoutEngine, OpKind, RunLimits, SimpleLayout, Vm};
 use sz_workloads::Scale;
 
 /// Runs one program under one engine through both interpreters and
@@ -324,4 +327,69 @@ fn golden_decoded_stream() {
         d.ops[0].kind,
         OpKind::StoreSlot { byte_off: 0, .. }
     ));
+}
+
+/// A function of one register whose body adds `imms` distinct
+/// immediates into it, so its window is `1 + imms`.
+fn wide_window(imms: i64) -> Program {
+    let instrs = (0..imms)
+        .map(|k| Instr::Alu {
+            dst: Reg(0),
+            op: AluOp::Add,
+            a: Operand::Reg(Reg(0)),
+            b: Operand::Imm(k),
+        })
+        .collect();
+    Program {
+        name: "wide".into(),
+        functions: vec![Function {
+            name: "main".into(),
+            params: 0,
+            num_regs: 1,
+            num_slots: 0,
+            blocks: vec![Block {
+                instrs,
+                term: Terminator::Ret {
+                    value: Some(Operand::Reg(Reg(0))),
+                },
+            }],
+        }],
+        globals: vec![],
+        entry: FuncId(0),
+    }
+}
+
+/// Span bodies address registers and interned constants through one
+/// 16-bit window index, so `Program::validate` caps registers plus
+/// distinct immediates at `MAX_WINDOW`. One past the cap is rejected;
+/// exactly at the cap the last constant lands on index 65,535 and the
+/// run is bit-identical to the reference.
+#[test]
+fn window_cap_is_validated_and_a_function_at_the_cap_runs_identically() {
+    let cap = MAX_WINDOW as i64;
+    assert!(matches!(
+        wide_window(cap).validate(),
+        Err(IrError::WindowTooWide { window, .. }) if window == MAX_WINDOW + 1
+    ));
+
+    let program = wide_window(cap - 1);
+    assert_eq!(program.validate(), Ok(()));
+    let vm = Vm::new(&program);
+    let d = &vm.decoded_funcs()[0];
+    assert_eq!(usize::from(d.num_regs) + d.consts.len(), MAX_WINDOW);
+    assert_bit_identical(
+        &program,
+        Box::new(SimpleLayout::new()),
+        Box::new(SimpleLayout::new()),
+        MachineConfig::core_i3_550(),
+        "window at the cap",
+    );
+    let report = vm
+        .run(
+            &mut SimpleLayout::new(),
+            MachineConfig::core_i3_550(),
+            RunLimits::default(),
+        )
+        .unwrap();
+    assert_eq!(report.return_value, Some((0..cap as u64 - 1).sum()));
 }

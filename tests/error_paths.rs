@@ -10,7 +10,7 @@ use sz_ir::{AluOp, FuncId, GlobalId, Program, ProgramBuilder};
 use sz_link::LinkedLayout;
 use sz_machine::{MachineConfig, MemorySystem, PerfCounters};
 use sz_vm::{
-    reference::run_reference, FrameView, LayoutEngine, RunLimits, SimpleLayout, Vm, VmError,
+    reference::run_reference, FrameView, LayoutEngine, OpKind, RunLimits, SimpleLayout, Vm, VmError,
 };
 
 /// Wraps any engine and records the counter state the engine observes
@@ -162,27 +162,97 @@ fn out_of_fuel_is_identical_on_both_interpreters() {
     assert_eq!(e, VmError::OutOfFuel { limit: 5_000 });
 }
 
-/// A fuel limit that lands *mid-span* — the decoded interpreter has
-/// fetched a span with two or more undispatched ops remaining when the
-/// budget runs out — must fail exactly like the reference interpreter,
-/// which meters one instruction at a time.
+/// A program whose impure spans (mid-span loads and stores) are
+/// longer than one 64-byte I-line, so they straddle a line under any
+/// code base, and end in `Call`, `Malloc`, `Free` and `Ret` terminals.
+fn straddling_terminals() -> Program {
+    let mut p = ProgramBuilder::new("straddle");
+    let g = p.global("g", 64);
+    let mut leaf = p.function("leaf", 1);
+    let x = leaf.param(0);
+    let s = leaf.slot();
+    leaf.store_slot(s, x);
+    let mut v = leaf.load_slot(s);
+    for k in 0..6 {
+        v = leaf.alu(AluOp::Add, v, 1000 + k);
+        leaf.store_global(g, 8 * (k % 8), v);
+    }
+    leaf.ret(Some(v.into()));
+    let leaf = p.add_function(leaf);
+
+    let mut f = p.function("main", 0);
+    let s = f.slot();
+    f.store_slot(s, 3);
+    let mut v = f.load_slot(s);
+    for k in 0..6 {
+        v = f.alu(AluOp::Mul, v, 3 + k);
+        f.store_slot(s, v);
+    }
+    let buf = f.malloc(64); // ends a straddling impure span
+    for k in 0..8 {
+        f.store_ptr(buf, 8 * k, v);
+        v = f.alu(AluOp::Add, v, k);
+    }
+    let r = f.call(leaf, vec![v.into()]); // ends a straddling impure span
+    let w = f.load_ptr(buf, 8);
+    let sum = f.alu(AluOp::Add, r, w);
+    f.free(buf);
+    f.ret(Some(sum.into()));
+    let main = p.add_function(f);
+    p.finish(main).unwrap()
+}
+
+/// A fuel limit may land anywhere — before a span, inside one, or on
+/// its terminal. Every budget from zero to the clean run's length must
+/// fail exactly like the reference interpreter, which meters one
+/// instruction at a time: the same `OutOfFuel` and the same
+/// engine-observed counter trace up to the cut. The clean length
+/// itself must run to completion on both.
 #[test]
 fn out_of_fuel_mid_span_is_identical_on_both_interpreters() {
-    let mut p = ProgramBuilder::new("straddle");
-    let mut f = p.function("main", 0);
-    let a = f.alu(AluOp::Add, 1, 1);
-    let b = f.alu(AluOp::Add, a, 1);
-    let c = f.alu(AluOp::Add, b, 1);
-    f.ret(Some(c.into()));
-    let main = p.add_function(f);
-    let program = p.finish(main).unwrap();
+    let program = straddling_terminals();
+    let decoded = Vm::new(&program);
+    // Terminals of impure spans longer than one 64-byte line.
+    let terminals: Vec<&OpKind> = decoded
+        .decoded_funcs()
+        .iter()
+        .flat_map(|d| {
+            d.spans
+                .iter()
+                .filter(|s| !s.pure && s.end_pc - s.first_pc > 64)
+                .map(|s| &d.ops[(s.start + s.count - 1) as usize].kind)
+        })
+        .collect();
+    assert!(terminals.iter().any(|k| matches!(k, OpKind::Call { .. })));
+    assert!(terminals.iter().any(|k| matches!(k, OpKind::Malloc { .. })));
 
-    let limits = RunLimits {
-        max_instructions: 2,
+    let machine = MachineConfig::tiny();
+    let limits = |max_instructions| RunLimits {
+        max_instructions,
         max_stack_depth: 16,
     };
-    let e = assert_error_identical(&program, SimpleLayout::new, limits, "straddle/simple");
-    assert_eq!(e, VmError::OutOfFuel { limit: 2 });
+    let mut a = SpyEngine::new(SimpleLayout::new());
+    let clean = decoded
+        .run(&mut a, machine, limits(u64::MAX))
+        .expect("clean run");
+    let n = clean.instructions;
+    for budget in 0..n {
+        let e = assert_error_identical(
+            &program,
+            SimpleLayout::new,
+            limits(budget),
+            &format!("budget {budget} of {n}"),
+        );
+        assert_eq!(e, VmError::OutOfFuel { limit: budget });
+    }
+    let mut b = SpyEngine::new(SimpleLayout::new());
+    let exact = decoded.run(&mut b, machine, limits(n));
+    let mut c = SpyEngine::new(SimpleLayout::new());
+    let reference = run_reference(&program, &mut c, machine, limits(n));
+    assert_eq!(exact.as_ref(), Ok(&clean), "budget {n} completes");
+    assert_eq!(exact, reference);
+    assert_eq!(a.trace, c.trace);
+    assert_eq!(b.trace, c.trace);
 }
 
 /// Delegates to [`SimpleLayout`] but plants the stack low, so a deep
